@@ -1,20 +1,21 @@
-// The dwrs benchmark: four workloads driven through the library's public
+// The dwrs benchmark: three workloads driven through the library's public
 // API, every output checked, end-to-end metrics (--trace 0) or the
 // per-layer ledger (--trace 1) printed as the last line of stdout.
 //
 //   dwrs_perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
-//                  --state-dir <dir>
+//                  --state-dir <dir> [--ingest-rate <items/s>]
 //
 // A run repeats whole rounds until --seconds have passed. Each round
 // generates a fresh stream from (seed, round), builds a fresh stack
 // (set-up), ingests the stream, checks every output, and reads the final
-// sample through the query plane. Figures are medians over rounds, or
-// pooled over every query of the run for latency percentiles. See
-// README.md for the workloads, the ledger and the reference figures.
+// sample through the query plane. Figures are medians over rounds of
+// per-round figures (read percentiles included). --ingest-rate replaces
+// the workload's feeder rate (0 = closed loop); the README uses it to
+// measure the rate the live_query stack sustains. See README.md for the
+// workloads, the ledger and the reference figures.
 
 #include <sched.h>
 #include <sys/prctl.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -56,6 +57,8 @@ constexpr int kSampleSize = 32;
 // Items per site per span push: one engine ingestion batch (the library
 // default batch_size), so each Push hands off whole batches.
 constexpr size_t kFeedChunk = 512;
+// The rates below and live_query's ingest rate are explained, with what
+// each rests on, under "Rates and their basis" in README.md.
 // At-rest reads after each round: open loop, one every kRestSpacingNs.
 constexpr int kRestQueries = 4096;
 constexpr int64_t kRestSpacingNs = 10'000;
@@ -63,8 +66,8 @@ constexpr int64_t kRestSpacingNs = 10'000;
 // kReaderSpinNs before each due time and spins the rest.
 constexpr double kLiveQueryRate = 20000.0;
 constexpr int64_t kReaderSpinNs = 30'000;
-// Every sixteenth read is a merging estimator read; the rest are cached
-// sample reads.
+// Every sixteenth read is an estimator read; the rest are cached sample
+// reads.
 constexpr int kEstimatorEvery = 16;
 // Prefix of the first round's stream logged through the fault and
 // durability rungs on the workloads whose own stack has no WAL.
@@ -74,7 +77,7 @@ constexpr int kMinRounds = 3;
 struct Spec {
   const char* name;
   int sites;
-  int shards;          // engine shards; 0 = durable simulator stack
+  int shards;          // engine shards
   uint64_t items;      // per round
   double ingest_rate;  // open-loop items/s; 0 = closed loop
   bool live;           // live queries during ingestion
@@ -84,8 +87,9 @@ struct Spec {
 const Spec kSpecs[] = {
     {"zipf_ingest", 8, 1, 4'000'000, 0.0, false, 4'000'000},
     {"many_sites", 4096, 1, 4'000'000, 0.0, false, 50'000},
+    // Ingest at a fifth of the 9.5M-9.9M items/s this stack sustains
+    // closed loop.
     {"live_query", 8, 2, 2'000'000, 2'000'000.0, true, 2'000'000},
-    {"durable_ingest", 8, 0, 50'000, 0.0, false, 50'000},
 };
 
 struct Options {
@@ -94,6 +98,7 @@ struct Options {
   int seconds = 0;
   bool trace = false;
   std::string state_dir;
+  double ingest_rate = -1.0;  // overrides the workload's when >= 0
 };
 
 dwrs::WsworConfig ProtocolConfig(int sites, uint64_t seed) {
@@ -103,28 +108,38 @@ dwrs::WsworConfig ProtocolConfig(int sites, uint64_t seed) {
 
 // --- query log --------------------------------------------------------
 
-struct QueryLog {
-  std::vector<double> latency_ns;  // on-time completion - due time
-  std::vector<double> service_ns;  // completion - call
-  std::vector<double> late_ns;     // call - due time (reader lateness)
+// Counts over a run's reads.
+struct QueryCounts {
   uint64_t issued = 0;
   uint64_t incomplete_or_stale = 0;
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
   uint64_t copies_avoided = 0;
 
-  void Merge(const QueryLog& o) {
-    latency_ns.insert(latency_ns.end(), o.latency_ns.begin(),
-                      o.latency_ns.end());
-    service_ns.insert(service_ns.end(), o.service_ns.begin(),
-                      o.service_ns.end());
-    late_ns.insert(late_ns.end(), o.late_ns.begin(), o.late_ns.end());
+  void Add(const QueryCounts& o) {
     issued += o.issued;
     incomplete_or_stale += o.incomplete_or_stale;
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     copies_avoided += o.copies_avoided;
   }
+};
+
+// One round's reads. The sample vectors are made resident for `reads`
+// entries up front, so the round's stack memory (peak_rss_mb) is
+// measured without them.
+struct QueryLog {
+  explicit QueryLog(size_t reads) {
+    for (std::vector<double>* v : {&latency_ns, &service_ns, &late_ns}) {
+      v->resize(reads);
+      v->clear();
+    }
+  }
+
+  std::vector<double> latency_ns;  // on-time completion - due time
+  std::vector<double> service_ns;  // completion - call
+  std::vector<double> late_ns;     // call - due time (reader lateness)
+  QueryCounts counts;
 };
 
 double EstimateTotal(const dwrs::query::QueryResult& r) {
@@ -153,38 +168,40 @@ bool SameEntries(const std::vector<KeyedItem>& a,
 }
 
 // One reader's open-loop schedule over a QueryService. Reads i with
-// i % kEstimatorEvery == kEstimatorEvery - 1 are merging estimator reads
-// (Query + Horvitz-Thompson total); the rest are cached QueryShared
-// reads. Along each path's sequence every shard's publish_seq and
+// i % kEstimatorEvery == kEstimatorEvery - 1 are estimator reads (the
+// Horvitz-Thompson total over the merged sample); the rest are cached
+// sample reads (QueryShared). With `merging_estimator` the estimator
+// reads call Query(), which always merges; without it they read through
+// QueryShared too, and merge only when the cache misses. Along the
+// reader's one sequence of reads every shard's publish_seq and
 // state_version must never decrease; `expected`, when set, is the one
 // answer every read must return (the stack is quiescent).
 class Reader {
  public:
-  Reader(const dwrs::query::QueryService& service,
-         const std::vector<KeyedItem>* expected)
+  Reader(const dwrs::query::QueryService& service, bool merging_estimator,
+         const std::vector<KeyedItem>* expected, QueryLog log)
       : service_(service),
+        merging_estimator_(merging_estimator),
         expected_(expected),
-        last_seq_(2, std::vector<uint64_t>(
-                         static_cast<size_t>(service.num_shards()), 0)),
-        last_version_(2, std::vector<uint64_t>(
-                             static_cast<size_t>(service.num_shards()), 0)) {}
+        log_(std::move(log)),
+        last_seq_(static_cast<size_t>(service.num_shards()), 0),
+        last_version_(static_cast<size_t>(service.num_shards()), 0) {}
 
   void Issue(int64_t due_ns, uint64_t index) {
+    const bool estimator = index % kEstimatorEvery == kEstimatorEvery - 1;
     const int64_t t0 = NowNs();
-    double estimate = 0.0;
     bool ok = true;
-    if (index % kEstimatorEvery == kEstimatorEvery - 1) {
+    if (estimator && merging_estimator_) {
       const dwrs::query::QueryResult r = service_.Query();
-      estimate = EstimateTotal(r);
-      const int64_t t1 = NowNs();
-      Record(due_ns, t0, t1);
-      ok = Validate(r, 1) && std::isfinite(estimate) && estimate >= 0.0;
+      const double estimate = EstimateTotal(r);
+      Record(due_ns, t0, NowNs());
+      ok = Validate(r) && std::isfinite(estimate) && estimate >= 0.0;
     } else {
       const std::shared_ptr<const dwrs::query::QueryResult> r =
           service_.QueryShared();
-      const int64_t t1 = NowNs();
-      Record(due_ns, t0, t1);
-      ok = Validate(*r, 0);
+      const double estimate = estimator ? EstimateTotal(*r) : 0.0;
+      Record(due_ns, t0, NowNs());
+      ok = Validate(*r) && std::isfinite(estimate) && estimate >= 0.0;
     }
     checks_.Expect(ok, "query stamps monotone and answer exact");
   }
@@ -193,12 +210,12 @@ class Reader {
   // the last Issue.
   void Finish() {
     const dwrs::query::QueryServiceStats s = service_.stats();
-    log_.cache_hits += s.cache_hits;
-    log_.cache_misses += s.cache_misses;
-    log_.copies_avoided += s.snapshot_copies_avoided;
+    log_.counts.cache_hits += s.cache_hits;
+    log_.counts.cache_misses += s.cache_misses;
+    log_.counts.copies_avoided += s.snapshot_copies_avoided;
   }
 
-  const QueryLog& log() const { return log_; }
+  QueryLog& log() { return log_; }
   const Checker& checks() const { return checks_; }
 
  private:
@@ -212,26 +229,21 @@ class Reader {
   void Record(int64_t due_ns, int64_t t0, int64_t t1) {
     const int64_t start = std::max(due_ns, ideal_end_ns_);
     ideal_end_ns_ = start + (t1 - t0);
-    ++log_.issued;
+    ++log_.counts.issued;
     log_.latency_ns.push_back(static_cast<double>(ideal_end_ns_ - due_ns));
     log_.service_ns.push_back(static_cast<double>(t1 - t0));
     log_.late_ns.push_back(
         static_cast<double>(std::max<int64_t>(0, t0 - due_ns)));
   }
 
-  // Stamps are tracked per read path: a cached read may lag a merging
-  // read made just before it (CHANGES.md, FOUND on QueryShared), so the
-  // two paths are checked each along its own sequence.
-  bool Validate(const dwrs::query::QueryResult& r, size_t path) {
-    if (!r.complete || r.any_stale) ++log_.incomplete_or_stale;
-    std::vector<uint64_t>& last_seq = last_seq_[path];
-    std::vector<uint64_t>& last_version = last_version_[path];
-    bool ok = r.shards.size() == last_seq.size();
+  bool Validate(const dwrs::query::QueryResult& r) {
+    if (!r.complete || r.any_stale) ++log_.counts.incomplete_or_stale;
+    bool ok = r.shards.size() == last_seq_.size();
     for (size_t j = 0; ok && j < r.shards.size(); ++j) {
-      ok = r.shards[j].publish_seq >= last_seq[j] &&
-           r.shards[j].state_version >= last_version[j];
-      last_seq[j] = r.shards[j].publish_seq;
-      last_version[j] = r.shards[j].state_version;
+      ok = r.shards[j].publish_seq >= last_seq_[j] &&
+           r.shards[j].state_version >= last_version_[j];
+      last_seq_[j] = r.shards[j].publish_seq;
+      last_version_[j] = r.shards[j].state_version;
     }
     if (expected_ != nullptr) {
       ok = ok && SameEntries(r.merged.TopEntries(), *expected_);
@@ -240,20 +252,20 @@ class Reader {
   }
 
   const dwrs::query::QueryService& service_;
+  const bool merging_estimator_;
   const std::vector<KeyedItem>* expected_;
-  // Indexed [path][shard]; path 0 = cached reads, 1 = merging reads.
-  std::vector<std::vector<uint64_t>> last_seq_;
-  std::vector<std::vector<uint64_t>> last_version_;
-  int64_t ideal_end_ns_ = 0;
   QueryLog log_;
+  std::vector<uint64_t> last_seq_;      // per shard
+  std::vector<uint64_t> last_version_;  // per shard
+  int64_t ideal_end_ns_ = 0;
   Checker checks_;
 };
 
 // Publishes `snaps` (one per shard) into fresh publishers and reads the
-// quiescent answer kRestQueries times, open loop.
-void AtRestQueries(std::vector<dwrs::query::ShardSnapshot> snaps,
-                   const std::vector<KeyedItem>& expected, QueryLog& log,
-                   Checker& checks, SpanTotals& publish) {
+// quiescent answer kRestQueries times, open loop, into `log`.
+QueryLog AtRestQueries(std::vector<dwrs::query::ShardSnapshot> snaps,
+                       const std::vector<KeyedItem>& expected, QueryLog log,
+                       Checker& checks, SpanTotals& publish) {
   dwrs::query::LiveShardPublishers publishers(static_cast<int>(snaps.size()));
   for (size_t j = 0; j < snaps.size(); ++j) {
     const int64_t t0 = NowNs();
@@ -262,7 +274,8 @@ void AtRestQueries(std::vector<dwrs::query::ShardSnapshot> snaps,
     ++publish.calls;
   }
   dwrs::query::QueryService service(publishers.views());
-  Reader reader(service, &expected);
+  Reader reader(service, /*merging_estimator=*/true, &expected,
+                std::move(log));
   const int64_t start = NowNs() + kRestSpacingNs;
   for (int i = 0; i < kRestQueries; ++i) {
     const int64_t due = start + i * kRestSpacingNs;
@@ -270,9 +283,9 @@ void AtRestQueries(std::vector<dwrs::query::ShardSnapshot> snaps,
     reader.Issue(due, static_cast<uint64_t>(i));
   }
   reader.Finish();
-  log.Merge(reader.log());
   checks.Expect(reader.checks().failed() == 0,
                 "at-rest queries return the final sample");
+  return std::move(reader.log());
 }
 
 // --- per-round records ------------------------------------------------
@@ -292,21 +305,29 @@ struct Ladder {
   uint64_t wal_records = 0;
   uint64_t commits = 0;
   uint64_t checkpoints = 0;
-
-  void Add(const Ladder& o) {
-    for (auto [a, b] : {std::pair{&sim, &o.sim}, std::pair{&faulty, &o.faulty},
-                        std::pair{&durable, &o.durable}}) {
-      a->items += b->items;
-      a->ns += b->ns;
-    }
-    sim_messages += o.sim_messages;
-    delivered += o.delivered;
-    wal_bytes += o.wal_bytes;
-    wal_records += o.wal_records;
-    commits += o.commits;
-    checkpoints += o.checkpoints;
-  }
 };
+
+// This process's resident set (VmRSS) and its high-water mark (VmHWM)
+// in MB, from /proc/self/status; 0 where a field is missing.
+struct Rss {
+  double now_mb = 0.0;
+  double peak_mb = 0.0;
+};
+
+Rss ReadRss() {
+  Rss out;
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    double* field = line.rfind("VmRSS:", 0) == 0   ? &out.now_mb
+                    : line.rfind("VmHWM:", 0) == 0 ? &out.peak_mb
+                                                   : nullptr;
+    if (field != nullptr) {
+      *field = std::strtod(line.c_str() + 6, nullptr) / 1024.0;  // in kB
+    }
+  }
+  return out;
+}
 
 struct Round {
   bool traced = false;
@@ -317,8 +338,11 @@ struct Round {
   uint64_t messages = 0;
   uint64_t up_messages = 0;
   uint64_t down_messages = 0;
-  uint64_t wal_bytes = 0;
   int threads = 1;  // threads of the ingest stack
+  // Resident set with the stream generated, just before the stack is
+  // built, and the process's high-water mark then and after the drain.
+  Rss before_stack;
+  double peak_after_mb = 0.0;
   // Engine layers (traced rounds).
   int64_t push_ns = 0;
   int64_t drain_ns = 0;
@@ -330,19 +354,13 @@ struct Round {
   double query_p50 = 0.0, query_p99 = 0.0;
   double service_p50 = 0.0, service_p99 = 0.0, late_p99 = 0.0;
 
-  // Percentiles of the reads logged since `from` (the log's size when
-  // the round began).
-  void SetQueryStats(const QueryLog& log, size_t from) {
-    auto tail = [from](const std::vector<double>& v) {
-      return std::vector<double>(v.begin() + static_cast<long>(from), v.end());
-    };
-    const std::vector<double> latency = tail(log.latency_ns);
-    const std::vector<double> service = tail(log.service_ns);
-    query_p50 = Quantile(latency, 0.50);
-    query_p99 = Quantile(latency, 0.99);
-    service_p50 = Quantile(service, 0.50);
-    service_p99 = Quantile(service, 0.99);
-    late_p99 = Quantile(tail(log.late_ns), 0.99);
+  // Reorders the log's samples.
+  void SetQueryStats(QueryLog& log) {
+    query_p50 = Quantile(log.latency_ns, 0.50);
+    query_p99 = Quantile(log.latency_ns, 0.99);
+    service_p50 = Quantile(log.service_ns, 0.50);
+    service_p99 = Quantile(log.service_ns, 0.99);
+    late_p99 = Quantile(log.late_ns, 0.99);
   }
 };
 
@@ -408,18 +426,15 @@ SimRun RunSimRung(const Stream& stream, uint64_t limit, uint64_t seed,
 
 // The durable harness (zero-fault schedule, library-default
 // DurabilityOptions, simulator backend) on a stream with arrival order,
-// with its checks; `queries`, when set, also gets the at-rest reads.
+// with its checks.
 struct DurableRun {
-  int64_t build_ns = 0;  // constructing the stack on a fresh directory
   LadderRung rung;
   dwrs::faults::RunReport report;
   dwrs::durability::WalStats wal;
-  std::vector<KeyedItem> sample;
 };
 
 DurableRun RunDurable(const Stream& stream, uint64_t seed,
-                      const std::string& dir, Checker& checks,
-                      QueryLog* queries, SpanTotals* publish) {
+                      const std::string& dir, Checker& checks) {
   fs::remove_all(dir);
   fs::create_directories(dir);
   const dwrs::WsworConfig config = ProtocolConfig(stream.num_sites, seed);
@@ -428,11 +443,9 @@ DurableRun RunDurable(const Stream& stream, uint64_t seed,
   DurableRun out;
   dwrs::durability::ProbeState probe;
   {
-    const int64_t b0 = NowNs();
     dwrs::durability::DurableWswor durable(
         config, dwrs::faults::FaultConfig{}, dwrs::faults::Backend::kSim,
         options);
-    out.build_ns = NowNs() - b0;
     const dwrs::Workload workload = stream.AsWorkload();
     const int64_t t0 = NowNs();
     durable.Run(workload);
@@ -440,18 +453,12 @@ DurableRun RunDurable(const Stream& stream, uint64_t seed,
     out.rung.items = stream.size;
     out.report = durable.report();
     out.wal = durable.wal_stats();
-    out.sample = durable.coordinator().Sample();
     probe = durable.Probe();
     checks.Expect(out.report.clean, "durable run report clean");
     checks.Expect(out.report.recovery_consistent,
                   "durable run recovery consistent");
-    CheckSample(checks, "durable stack", out.sample, stream, kSampleSize);
-    if (queries != nullptr) {
-      std::vector<dwrs::query::ShardSnapshot> snaps;
-      snaps.push_back(dwrs::query::CaptureSessionSnapshot(
-          durable.coordinator_session(), !out.report.clean));
-      AtRestQueries(std::move(snaps), out.sample, *queries, checks, *publish);
-    }
+    CheckSample(checks, "durable stack", durable.coordinator().Sample(),
+                stream, kSampleSize);
   }
   {
     dwrs::durability::DurableWswor reopened(
@@ -488,7 +495,7 @@ Ladder RunLadder(const Stream& stream, uint64_t seed, const std::string& dir,
   out.sim = sim.rung;
   out.sim_messages = sim.messages;
   out.faulty = RunFaulty(stream, seed, checks, &out.delivered);
-  const DurableRun d = RunDurable(stream, seed, dir, checks, nullptr, nullptr);
+  const DurableRun d = RunDurable(stream, seed, dir, checks);
   out.durable = d.rung;
   out.wal_bytes = d.wal.bytes_committed;
   out.wal_records = d.report.wal_records_logged;
@@ -677,18 +684,30 @@ void FeedOpenLoop(dwrs::engine::ShardedEngine& eng, const Stream& stream,
   }
 }
 
+// Reads one round makes: live ones over the round's ingest time (with a
+// margin for the drain), or the at-rest ones.
+size_t RoundReads(const Spec& spec) {
+  if (!spec.live) return kRestQueries;
+  const double ingest_s = spec.ingest_rate > 0.0
+                              ? static_cast<double>(spec.items) / spec.ingest_rate
+                              : 1.0;
+  return static_cast<size_t>(1.25 * ingest_s * kLiveQueryRate) + 1024;
+}
+
 Round RunEngineRound(const Spec& spec, uint64_t seed, bool traced,
-                     Checker& checks, QueryLog& queries, SpanTotals& rest_publish) {
-  const size_t queries_before = queries.latency_ns.size();
+                     Checker& checks, QueryCounts& queries,
+                     SpanTotals& rest_publish) {
   Round r;
   r.traced = traced;
   r.items = spec.items;
+  QueryLog log(RoundReads(spec));
   const int64_t g0 = NowNs();
   const Stream stream = GenerateStream(spec.sites, spec.items, seed,
                                        WeightLaw::kZipf, /*keep_order=*/false);
   const int64_t g1 = NowNs();
   std::optional<CpuSplit> cpus;
   if (spec.live) cpus.emplace();
+  r.before_stack = ReadRss();
   EngineStack stack(spec, MixSeed(seed, 1), traced);
   const int64_t g2 = NowNs();
   r.generate_ns = static_cast<double>(g1 - g0);
@@ -701,7 +720,13 @@ Round RunEngineRound(const Spec& spec, uint64_t seed, bool traced,
   std::thread reader_thread;
   const int64_t t0 = NowNs();
   if (spec.live) {
-    reader = std::make_unique<Reader>(*stack.service(), nullptr);
+    // Live estimator reads go through the cache too: a cached read made
+    // just after a Query() can return the state one publish older (see
+    // the README's live_query checks), which fails the monotonicity
+    // check on some runs and not on others.
+    reader = std::make_unique<Reader>(*stack.service(),
+                                      /*merging_estimator=*/false, nullptr,
+                                      std::move(log));
     reader_thread = std::thread([&stop, &reader, &cpus, t0] {
       cpus->PinReader();
       prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);
@@ -734,10 +759,14 @@ Round RunEngineRound(const Spec& spec, uint64_t seed, bool traced,
   if (spec.live) {
     stop.store(true, std::memory_order_release);
     reader_thread.join();
+  }
+  r.peak_after_mb = ReadRss().peak_mb;
+  if (spec.live) {
     reader->Finish();
-    queries.Merge(reader->log());
+    r.SetQueryStats(reader->log());
+    queries.Add(reader->log().counts);
     checks.Expect(reader->checks().failed() == 0,
-                  "live reads: stamps never decrease along each read path");
+                  "live reads: stamps never decrease along the reader's reads");
   }
   r.wall_ns = t2 - t0;
   r.push_ns = push_ns;
@@ -787,48 +816,11 @@ Round RunEngineRound(const Spec& spec, uint64_t seed, bool traced,
     const int64_t c0 = NowNs();
     std::vector<dwrs::query::ShardSnapshot> snaps = stack.CaptureAll();
     rest_publish.ns += NowNs() - c0;
-    AtRestQueries(std::move(snaps), sample, queries, checks, rest_publish);
+    QueryLog rest = AtRestQueries(std::move(snaps), sample,
+                                        std::move(log), checks, rest_publish);
+    r.SetQueryStats(rest);
+    queries.Add(rest.counts);
   }
-  r.SetQueryStats(queries, queries_before);
-  return r;
-}
-
-Round RunDurableRound(const Spec& spec, uint64_t seed, bool traced,
-                      const std::string& dir, Checker& checks,
-                      QueryLog& queries, SpanTotals& rest_publish,
-                      Ladder& ladder) {
-  const size_t queries_before = queries.latency_ns.size();
-  Round r;
-  r.traced = traced;
-  r.items = spec.items;
-  const int64_t g0 = NowNs();
-  const Stream stream = GenerateStream(spec.sites, spec.items, seed,
-                                       WeightLaw::kZipf, /*keep_order=*/true);
-  const int64_t g1 = NowNs();
-  r.generate_ns = static_cast<double>(g1 - g0);
-  const uint64_t protocol_seed = MixSeed(seed, 1);
-  const DurableRun d = RunDurable(stream, protocol_seed, dir, checks, &queries,
-                                  &rest_publish);
-  r.setup_s = static_cast<double>(g1 - g0 + d.build_ns) * 1e-9;
-  r.wall_ns = d.rung.ns;
-  r.messages = d.report.faults_forwarded;
-  r.wal_bytes = d.wal.bytes_committed;
-  if (traced) {
-    // The lower rungs on the same stream, for the durability and session
-    // layers' shares: bare simulator, then the plain fault harness.
-    Ladder l;
-    const SimRun sim = RunSimRung(stream, stream.size, protocol_seed, checks);
-    l.sim = sim.rung;
-    l.sim_messages = sim.messages;
-    l.faulty = RunFaulty(stream, protocol_seed, checks, &l.delivered);
-    l.durable = d.rung;
-    l.wal_bytes = d.wal.bytes_committed;
-    l.wal_records = d.report.wal_records_logged;
-    l.commits = d.wal.commits;
-    l.checkpoints = d.report.checkpoints_written;
-    ladder.Add(l);
-  }
-  r.SetQueryStats(queries, queries_before);
   return r;
 }
 
@@ -889,12 +881,6 @@ class Metrics {
   Json json_;
 };
 
-double PeakRssMb() {
-  struct rusage ru;
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // ru_maxrss is in KiB
-}
-
 std::string CpuModel() {
   std::ifstream in("/proc/cpuinfo");
   std::string line;
@@ -947,17 +933,14 @@ Json MachineStamp() {
 }
 
 int RunWorkload(const Spec& spec, const Options& opt) {
-  const bool durable = spec.shards == 0;
   const std::string dir = opt.state_dir + "/" + spec.name + "-" +
                           std::to_string(static_cast<long>(getpid()));
   Checker checks;
   SelfTestChecks(checks);
 
   std::vector<Round> rounds;
-  QueryLog queries;
+  QueryCounts queries;
   SpanTotals rest_publish;
-  Ladder ladder;  // durable_ingest: summed over traced rounds
-  EngineAgg engine_rung;  // durable_ingest: engine layers on its stream
   uint64_t items_fed = 0;
   const int64_t start = NowNs();
   const int64_t budget = static_cast<int64_t>(opt.seconds) * 1'000'000'000;
@@ -967,22 +950,8 @@ int RunWorkload(const Spec& spec, const Options& opt) {
     // tracing overhead from one run.
     const bool traced = opt.trace && round % 2 == 1;
     const uint64_t seed = MixSeed(opt.seed, round);
-    if (durable) {
-      rounds.push_back(RunDurableRound(spec, seed, traced, dir + "/round",
-                                       checks, queries, rest_publish, ladder));
-      if (traced) {
-        Spec rung = spec;
-        rung.shards = 1;
-        QueryLog rung_queries;
-        SpanTotals rung_publish;
-        engine_rung.Add(RunEngineRound(rung, seed, true, checks, rung_queries,
-                                       rung_publish));
-        items_fed += 2 * spec.items + rung.items;  // sim and fault rungs
-      }
-    } else {
-      rounds.push_back(RunEngineRound(spec, seed, traced, checks, queries,
-                                      rest_publish));
-    }
+    rounds.push_back(RunEngineRound(spec, seed, traced, checks, queries,
+                                    rest_publish));
     const Round& r = rounds.back();
     items_fed += r.items;
     std::fprintf(stderr,
@@ -996,25 +965,23 @@ int RunWorkload(const Spec& spec, const Options& opt) {
                  r.query_p50 * 1e-3, r.query_p99 * 1e-3);
   }
 
+  // Fault and durability rungs on a prefix of the first round's stream:
+  // gives wal_bytes_per_item for a stack without a WAL, and the session
+  // and durability layers' per-item cost on this stream.
+  const Stream prefix =
+      GenerateStream(spec.sites, kLadderPrefix, MixSeed(opt.seed, 0),
+                     WeightLaw::kZipf, /*keep_order=*/true);
+  const Ladder ladder = RunLadder(prefix, MixSeed(MixSeed(opt.seed, 0), 1),
+                                  dir + "/ladder", checks);
+  items_fed += 3 * prefix.size;
   SimRun sim;
-  if (!durable) {
-    // Fault and durability rungs on a prefix of the first round's stream:
-    // gives wal_bytes_per_item for a stack without a WAL, and the
-    // session and durability layers' per-item cost on this stream.
-    const Stream prefix =
-        GenerateStream(spec.sites, kLadderPrefix, MixSeed(opt.seed, 0),
-                       WeightLaw::kZipf, /*keep_order=*/true);
-    ladder = RunLadder(prefix, MixSeed(MixSeed(opt.seed, 0), 1),
-                       dir + "/ladder", checks);
-    items_fed += 3 * prefix.size;
-    if (opt.trace) {
-      const Stream first = GenerateStream(spec.sites, spec.items,
-                                          MixSeed(opt.seed, 0),
-                                          WeightLaw::kZipf, false);
-      sim = RunSimRung(first, spec.sim_items, MixSeed(MixSeed(opt.seed, 0), 1),
-                       checks);
-      items_fed += sim.rung.items;
-    }
+  if (opt.trace) {
+    const Stream first = GenerateStream(spec.sites, spec.items,
+                                        MixSeed(opt.seed, 0),
+                                        WeightLaw::kZipf, false);
+    sim = RunSimRung(first, spec.sim_items, MixSeed(MixSeed(opt.seed, 0), 1),
+                     checks);
+    items_fed += sim.rung.items;
   }
   fs::remove_all(dir);
 
@@ -1024,15 +991,13 @@ int RunWorkload(const Spec& spec, const Options& opt) {
   Metrics m;
   Json ledger;
   if (!opt.trace) {
-    std::vector<double> setup, rate, mpi, walb;
+    std::vector<double> setup, rate, mpi;
     for (const Round& r : rounds) {
       setup.push_back(r.setup_s);
       rate.push_back(static_cast<double>(r.items) * 1e9 /
                      static_cast<double>(r.wall_ns));
       mpi.push_back(static_cast<double>(r.messages) /
                     static_cast<double>(r.items));
-      walb.push_back(static_cast<double>(r.wal_bytes) /
-                     static_cast<double>(r.items));
     }
     m.Add("setup_s", Median(setup), "s");
     m.Add("ingest_items_per_s", Median(rate), "items/s");
@@ -1040,22 +1005,30 @@ int RunWorkload(const Spec& spec, const Options& opt) {
     m.Add("query_p50_us", MedianOver(rounds, &Round::query_p50) * 1e-3, "us");
     m.Add("query_p99_us", MedianOver(rounds, &Round::query_p99) * 1e-3, "us");
     m.Add("wal_bytes_per_item",
-          durable ? Median(walb)
-                  : Ratio(static_cast<double>(ladder.wal_bytes),
-                          static_cast<double>(ladder.durable.items)),
+          Ratio(static_cast<double>(ladder.wal_bytes),
+                static_cast<double>(ladder.durable.items)),
           "bytes/item");
-    m.Add("peak_rss_mb", PeakRssMb(), "MB");
+    // The stack's own peak over the run: the high-water mark after the
+    // last round's drain less the resident set just before the first
+    // stack was built, so the generated stream (the load, not the
+    // program) is not counted. Every round's stream has the same size
+    // and its read log is resident before the stack is built, so the
+    // mark rises above that baseline only for stack memory: the highest
+    // of the rounds' stacks, which on the open-loop workload depends on
+    // how far the coordinators fell behind in a round.
+    m.Add("peak_rss_mb",
+          rounds.back().peak_after_mb - rounds.front().before_stack.now_mb,
+          "MB");
   } else {
-    EngineAgg agg;
+    EngineAgg e;
     std::vector<double> traced_ns, plain_ns, gen;
     for (const Round& r : rounds) {
       const double per_item =
           static_cast<double>(r.wall_ns) / static_cast<double>(r.items);
       (r.traced ? traced_ns : plain_ns).push_back(per_item);
       gen.push_back(r.generate_ns / static_cast<double>(r.items));
-      if (r.traced && !durable) agg.Add(r);
+      if (r.traced) e.Add(r);
     }
-    const EngineAgg& e = durable ? engine_rung : agg;
     const double n = static_cast<double>(e.items);
     const double site_self = Ratio(static_cast<double>(e.site.ns - e.send.ns), n);
     const double send = Ratio(static_cast<double>(e.send.ns), n);
@@ -1069,51 +1042,31 @@ int RunWorkload(const Spec& spec, const Options& opt) {
     const double publish = Ratio(static_cast<double>(e.publish.ns), n);
 
     const double ln = static_cast<double>(ladder.faulty.items);
-    const double sim_ns = Ratio(static_cast<double>(ladder.sim.ns), ln);
     const double session_ns =
         Ratio(static_cast<double>(ladder.faulty.ns - ladder.sim.ns), ln);
     const double durability_ns =
         Ratio(static_cast<double>(ladder.durable.ns - ladder.faulty.ns), ln);
 
-    double stack_ns = 0.0;
-    double layers = 0.0;
-    if (durable) {
-      // The ladder's rungs ran in the traced rounds; the end-to-end time
-      // they are held against is the untraced rounds' (one thread).
-      stack_ns = Median(plain_ns);
-      layers = sim_ns + session_ns + durability_ns;
-      ledger.Num("sim.ns_per_item", sim_ns)
-          .Num("faults.session_ns_per_item", session_ns)
-          .Num("durability.ns_per_item", durability_ns);
-    } else {
-      stack_ns = Ratio(e.wall_thread_ns, n);
-      layers = push + drain + site_self + send + coord_self + fanout + publish;
-      ledger.Num("engine.push_ns_per_item", push)
-          .Num("engine.drain_ns_per_item", drain)
-          .Num("core.site.ns_per_item", site_self)
-          .Num("engine.send_ns_per_item", send)
-          .Num("core.coord.ns_per_item", coord_self)
-          .Num("engine.fanout_ns_per_item", fanout)
-          .Num("query.publish_ns_per_item", publish);
-    }
+    const double stack_ns = Ratio(e.wall_thread_ns, n);
+    const double layers =
+        push + drain + site_self + send + coord_self + fanout + publish;
+    ledger.Num("engine.push_ns_per_item", push)
+        .Num("engine.drain_ns_per_item", drain)
+        .Num("core.site.ns_per_item", site_self)
+        .Num("engine.send_ns_per_item", send)
+        .Num("core.coord.ns_per_item", coord_self)
+        .Num("engine.fanout_ns_per_item", fanout)
+        .Num("query.publish_ns_per_item", publish);
     ledger.Num("unattributed_ns_per_item", stack_ns - layers)
         .Num("trace.stack_ns_per_item", stack_ns);
 
-    const SimRun& sref = sim;
-    const double sim_items = durable ? static_cast<double>(ladder.sim.items)
-                                     : static_cast<double>(sref.rung.items);
-    const double sim_wall = durable ? static_cast<double>(ladder.sim.ns)
-                                    : static_cast<double>(sref.rung.ns);
-    const double sim_msgs = durable ? static_cast<double>(ladder.sim_messages)
-                                    : static_cast<double>(sref.messages);
+    const double sim_items = static_cast<double>(sim.rung.items);
     const bool live = spec.live;
     const SpanTotals& pub = live ? e.publish : rest_publish;
     // Messages the coordinators processed over every round, which is
     // what the at-rest publishes are counted against.
     uint64_t all_msgs = 0;
-    for (const Round& r : rounds) {
-      all_msgs += durable ? r.messages : r.up_messages;
-    }
+    for (const Round& r : rounds) all_msgs += r.up_messages;
 
     m.Add("stream.generate_ns_per_item", Median(gen), "ns/item");
     m.Add("core.site.ns_per_item", site_self, "ns/item");
@@ -1181,8 +1134,10 @@ int RunWorkload(const Spec& spec, const Options& opt) {
           Ratio(static_cast<double>(ladder.wal_records), ln), "records/item");
     m.Add("durability.commits_per_kitem",
           Ratio(static_cast<double>(ladder.commits) * 1e3, ln), "count/kitem");
-    m.Add("sim.items_per_s", Ratio(sim_items * 1e9, sim_wall), "items/s");
-    m.Add("sim.messages_per_item", Ratio(sim_msgs, sim_items), "messages/item");
+    m.Add("sim.items_per_s",
+          Ratio(sim_items * 1e9, static_cast<double>(sim.rung.ns)), "items/s");
+    m.Add("sim.messages_per_item",
+          Ratio(static_cast<double>(sim.messages), sim_items), "messages/item");
     m.Add("unattributed_ns_per_item", stack_ns - layers, "ns/item");
     m.Add("trace.stack_ns_per_item", stack_ns, "ns/item");
     m.Add("trace.overhead_ratio", Ratio(Median(traced_ns), Median(plain_ns)),
@@ -1213,6 +1168,14 @@ int RunWorkload(const Spec& spec, const Options& opt) {
       .Obj("counts", counts)
       .Raw("failures", failures);
   if (opt.trace) report.Obj("ledger", ledger);
+  const Round& first = rounds.front();
+  report.Obj("rss_mb", Json()
+                           .Num("before_first_stack", first.before_stack.now_mb)
+                           .Num("peak_before_first_stack",
+                                first.before_stack.peak_mb)
+                           .Num("peak_after_first_drain", first.peak_after_mb)
+                           .Num("peak_after_last_drain",
+                                rounds.back().peak_after_mb));
   std::cout << report.Dump() << "\n";
 
   Json result;
@@ -1227,8 +1190,9 @@ int RunWorkload(const Spec& spec, const Options& opt) {
 int Usage(const char* why) {
   std::fprintf(stderr,
                "dwrs_perfbench: %s\nusage: dwrs_perfbench --workload "
-               "<zipf_ingest|many_sites|live_query|durable_ingest> --seed <n> "
-               "--seconds <s> --trace <0|1> --state-dir <dir>\n",
+               "<zipf_ingest|many_sites|live_query> --seed <n> "
+               "--seconds <s> --trace <0|1> --state-dir <dir> "
+               "[--ingest-rate <items/s, 0 = closed loop>]\n",
                why);
   return 2;
 }
@@ -1260,6 +1224,11 @@ int main(int argc, char** argv) {
       opt.trace = value == "1";
     } else if (flag == "--state-dir") {
       opt.state_dir = value;
+    } else if (flag == "--ingest-rate") {
+      opt.ingest_rate = std::strtod(value.c_str(), &end);
+      if (*end != '\0' || value.empty() || !(opt.ingest_rate >= 0.0)) {
+        return Usage("bad --ingest-rate");
+      }
     } else {
       return Usage("unknown flag");
     }
@@ -1268,8 +1237,10 @@ int main(int argc, char** argv) {
   if (!have_seed || opt.seconds == 0 || opt.state_dir.empty()) {
     return Usage("missing --seed, --seconds or --state-dir");
   }
-  for (const perfbench::Spec& spec : perfbench::kSpecs) {
-    if (opt.workload == spec.name) return perfbench::RunWorkload(spec, opt);
+  for (perfbench::Spec spec : perfbench::kSpecs) {
+    if (opt.workload != spec.name) continue;
+    if (opt.ingest_rate >= 0.0) spec.ingest_rate = opt.ingest_rate;
+    return perfbench::RunWorkload(spec, opt);
   }
   return Usage("unknown workload");
 }

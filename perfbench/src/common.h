@@ -23,7 +23,8 @@ inline int64_t NowNs() {
 }
 
 // Nearest-rank quantile (q in [0, 1]) of an unsorted sample; 0 if empty.
-inline double Quantile(std::vector<double> v, double q) {
+// Reorders the sample in place, so taking it allocates nothing.
+inline double Quantile(std::vector<double>& v, double q) {
   if (v.empty()) return 0.0;
   const size_t rank = static_cast<size_t>(
       std::ceil(q * static_cast<double>(v.size())));
